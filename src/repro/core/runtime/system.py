@@ -275,10 +275,13 @@ class LinguaManga:
         with jittered backoff and is quarantined as poison after
         ``max_attempts`` (reported, never fatal), and re-running with the
         same path resumes at the shard frontier with a byte-identical
-        report.  Without it a temporary ledger is used and removed on
-        success.  ``source_id`` should carry the input source's own stable
-        fingerprint (e.g. ``StreamingERCorpus.fingerprint``) so a resumed
-        ledger cannot silently pair with a different source.
+        report.  Without it (and without ``ledger=``) the ledger is in
+        memory: no ledger file is written, and unless ``spill_dir`` names
+        one, shard inputs spill to a private temporary directory, made
+        only if a shard spills and removed when the run ends, whether it
+        succeeds or raises.  ``source_id`` should carry the input source's
+        own stable fingerprint (e.g. ``StreamingERCorpus.fingerprint``) so
+        a resumed ledger cannot silently pair with a different source.
 
         ``sink`` streams outputs out instead of collecting them: a callable
         receiving each shard's output list in shard order; the report then
@@ -295,9 +298,6 @@ class LinguaManga:
         Chunk-size tuning is excluded — it would change the shard
         fingerprints a resumable ledger is keyed by.
         """
-        import tempfile
-        from pathlib import Path
-
         from repro.core.runtime.workqueue import ShardLedger, StreamingExecutor
 
         if ledger is not None and ledger_path is not None:
@@ -322,14 +322,7 @@ class LinguaManga:
                 workers = tuning.workers
             if workers is None:
                 workers = 1
-            ephemeral = False
             if ledger is None:
-                if ledger_path is None:
-                    ledger_path = (
-                        Path(tempfile.mkdtemp(prefix="repro-stream-"))
-                        / "ledger.jsonl"
-                    )
-                    ephemeral = True
                 ledger = ShardLedger(ledger_path, resume=resume)
             executor = StreamingExecutor(
                 plan,
@@ -357,8 +350,6 @@ class LinguaManga:
                     with tuning.applied(), observe_run() as walltime:
                         report = executor.execute(inputs)
                     tuner.record(report, walltime["wall_seconds"])
-                if ephemeral:
-                    ledger.delete()
                 return report
             finally:
                 ledger.close()

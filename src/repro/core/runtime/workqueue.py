@@ -251,17 +251,25 @@ class ShardLedger:
       attempts: reprs of its input records (all the canonical report
       renders), the final error, written durably.  A poisoned shard is
       never re-executed after this line commits.
+
+    ``path=None`` makes an in-memory ledger for runs that asked for no
+    durability: :meth:`begin` loads and writes nothing, the ``record_*``
+    methods only count, and no file or fsync thread ever exists.
     """
 
     def __init__(
         self,
-        path: str | Path,
+        path: str | Path | None,
         resume: bool = True,
         fsync_every: int = DEFAULT_FSYNC_EVERY,
         fsync_interval: float = DEFAULT_FSYNC_INTERVAL,
     ):
-        self.journal = CheckpointJournal(
-            path, fsync_every=fsync_every, fsync_interval=fsync_interval
+        self.journal = (
+            CheckpointJournal(
+                path, fsync_every=fsync_every, fsync_interval=fsync_interval
+            )
+            if path is not None
+            else None
         )
         self.resume = resume
         self.stats = ShardLedgerStats()
@@ -272,9 +280,9 @@ class ShardLedger:
         self._lock = threading.Lock()
 
     @property
-    def path(self) -> Path:
-        """The journal file path."""
-        return self.journal.path
+    def path(self) -> Path | None:
+        """The journal file path (``None`` for an in-memory ledger)."""
+        return self.journal.path if self.journal is not None else None
 
     def begin(self, fingerprint: str, service: LLMService) -> None:
         """Validate (or create) the ledger before any work runs.
@@ -291,6 +299,8 @@ class ShardLedger:
                 "one (same path) to resume"
             )
         self._began = True
+        if self.journal is None:
+            return
         if not self.resume:
             self.journal.delete()
         lines = self.journal.load()
@@ -466,6 +476,10 @@ class ShardLedger:
         outputs: list[Any],
     ) -> None:
         """Journal one executed shard (write-ahead of lease completion)."""
+        if self.journal is None:
+            with self._lock:
+                self.stats.journaled_shards += 1
+            return
         try:
             encoded = encode_value(list(outputs))
             replayable = True
@@ -497,6 +511,8 @@ class ShardLedger:
 
     def record_fail(self, index: int, attempt: int, op: str, error: str) -> None:
         """Journal one deterministic shard failure (carries the budget)."""
+        if self.journal is None:
+            return
         self.journal.append(
             {"type": "fail", "index": index, "attempt": attempt, "op": op,
              "error": error}
@@ -504,6 +520,8 @@ class ShardLedger:
 
     def record_poison(self, info: PoisonInfo) -> None:
         """Durably journal a quarantine verdict; the shard never re-runs."""
+        if self.journal is None:
+            return
         self.journal.append(
             {
                 "type": "poison",
@@ -519,11 +537,13 @@ class ShardLedger:
 
     def close(self) -> None:
         """fsync and release the journal file handle."""
-        self.journal.close()
+        if self.journal is not None:
+            self.journal.close()
 
     def delete(self) -> None:
         """Close and remove the ledger file, if present."""
-        self.journal.delete()
+        if self.journal is not None:
+            self.journal.delete()
 
 
 # -- the work queue -----------------------------------------------------------------
@@ -1272,49 +1292,53 @@ class StreamingExecutor:
             )
             if obs is not None:
                 self.spill.metrics = obs.metrics
-            self.queue = WorkQueue(
-                iter_chunks(argument, chunk_size),
-                window=self.window,
-                spill=self.spill,
-                ledger=self.ledger,
-                max_attempts=self.max_attempts,
-                lease_timeout=self.lease_timeout,
-                backoff=self.backoff,
-                clock=self.queue_clock,
-                lease_fault=self.lease_fault,
-                metrics=obs.metrics if obs is not None else None,
-            )
-            self._run_workers()
-            # Middle rows, in operator order, after every shard folded.
-            for binding in middle:
-                name = binding.operator.name
-                row = self._rows[name]
-                report.profile.rows.append(row)
-                counts = self._resil[name]
-                report.resilience[name] = OperatorResilience(
-                    quarantined=counts["quarantined"],
-                    degraded=counts["degraded"],
-                    llm_retries=row.retries,
-                    llm_fallbacks=row.fallbacks,
-                    llm_failures=row.failures,
+            try:
+                self.queue = WorkQueue(
+                    iter_chunks(argument, chunk_size),
+                    window=self.window,
+                    spill=self.spill,
+                    ledger=self.ledger,
+                    max_attempts=self.max_attempts,
+                    lease_timeout=self.lease_timeout,
+                    backoff=self.backoff,
+                    clock=self.queue_clock,
+                    lease_fault=self.lease_fault,
+                    metrics=obs.metrics if obs is not None else None,
                 )
-            if self.sink is None:
-                value: Any = self._output_buffer
-                values[middle[-1].operator.name] = value
-                for binding in suffix:
-                    value = self._run_op(
-                        binding, value, report, report.profile, tracer, service
+                self._run_workers()
+                # Middle rows, in operator order, after every shard folded.
+                for binding in middle:
+                    name = binding.operator.name
+                    row = self._rows[name]
+                    report.profile.rows.append(row)
+                    counts = self._resil[name]
+                    report.resilience[name] = OperatorResilience(
+                        quarantined=counts["quarantined"],
+                        degraded=counts["degraded"],
+                        llm_retries=row.retries,
+                        llm_fallbacks=row.fallbacks,
+                        llm_failures=row.failures,
                     )
-                    values[binding.operator.name] = value
-            else:
-                summary = {
-                    "records": self._sink_records,
-                    "sha256": self._sink_digest.hexdigest(),
-                }
-                values[middle[-1].operator.name] = summary
-                for binding in suffix:
-                    values[binding.operator.name] = summary
-            self.spill.clear()
+                if self.sink is None:
+                    value: Any = self._output_buffer
+                    values[middle[-1].operator.name] = value
+                    for binding in suffix:
+                        value = self._run_op(
+                            binding, value, report, report.profile, tracer, service
+                        )
+                        values[binding.operator.name] = value
+                else:
+                    summary = {
+                        "records": self._sink_records,
+                        "sha256": self._sink_digest.hexdigest(),
+                    }
+                    values[middle[-1].operator.name] = summary
+                    for binding in suffix:
+                        values[binding.operator.name] = summary
+                self.spill.clear()
+            finally:
+                # A run that raises must not leak a private spill dir.
+                self.spill.close()
         report.partial = bool(report.quarantine)
         totals = report.profile.totals()
         report.cost = CostSnapshot(
@@ -1346,9 +1370,11 @@ class StreamingExecutor:
         report.recovery = self._recovery_summary()
         return report
 
-    def _spill_directory(self) -> Path:
+    def _spill_directory(self) -> Path | None:
         if self.spill_dir is not None:
             return Path(self.spill_dir)
+        if self.ledger.path is None:
+            return None  # SpillStore makes a private temp dir if a shard spills
         return self.ledger.path.parent / (self.ledger.path.stem + ".spill")
 
     def _recovery_summary(self) -> dict:

@@ -22,7 +22,8 @@ sits on:
   near-identical strings).  Only the snapshot sealed at load time is
   consulted, never entries added mid-run — that is what keeps near-hits
   byte-identical at any worker count: the candidate set cannot depend on
-  thread interleaving.
+  thread interleaving.  The snapshot is indexed on the first near lookup,
+  so opening a warm journal costs only its load.
 
 Provenance strings (``provider`` / ``cache-exact`` / ``cache-near`` /
 ``distilled``) tag every ledger record with which tier answered it.
@@ -281,27 +282,35 @@ class NearDuplicateIndex:
     without any vector math) and a banded Levenshtein check (O(n·d)) that
     accepts near-identical strings before cosine is computed.
 
-    The index is **immutable after build**: determinism of parallel runs
-    requires the candidate set to be a pure function of the warm snapshot,
-    not of mid-run insertion order.
+    The snapshot is **immutable after build**: determinism of parallel
+    runs requires the candidate set to be a pure function of the warm
+    snapshot, not of mid-run insertion order.  :meth:`build` only records
+    the snapshot; canonical forms, TF-IDF weights and the inverted index
+    are computed once, under the index's own lock, by the first
+    :meth:`lookup` — a run that never asks a near question never pays
+    for them.
     """
 
     def __init__(self, threshold: float = 0.92):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         self.threshold = threshold
-        self._entries: list[tuple[CacheKey, LLMResponse, str, Counter, float]] = []
+        self._snapshot: list[tuple[CacheKey, LLMResponse]] = []
+        # Parallel to _snapshot once indexed: (canonical, tf, norm).
+        self._vectors: list[tuple[str, Counter, float]] = []
         self._by_canonical: dict[tuple[str, str, int, str], int] = {}
         self._token_index: dict[str, list[int]] = {}
         self._idf: dict[str, float] = {}
         self._default_idf = 1.0
+        self._indexed = False
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._snapshot)
 
     def keys(self) -> list[CacheKey]:
         """The cache keys of the sealed snapshot, in insertion order."""
-        return [key for key, _, _, _, _ in self._entries]
+        return [key for key, _ in self._snapshot]
 
     @staticmethod
     def _scope(key: CacheKey) -> tuple[str, str, int, str]:
@@ -311,33 +320,45 @@ class NearDuplicateIndex:
         return (key.provider, key.version, key.max_tokens, key.namespace)
 
     def build(self, items: Iterable[tuple[CacheKey, LLMResponse]]) -> None:
-        """(Re)build the sealed index from ``items``."""
-        self._entries = []
-        self._by_canonical = {}
-        self._token_index = {}
-        document_frequency: Counter = Counter()
-        for key, response in items:
-            canonical = normalize_text(key.prompt)
-            tf = Counter(canonical.split())
-            entry_id = len(self._entries)
-            self._entries.append((key, response, canonical, tf, 0.0))
-            self._by_canonical.setdefault(
-                self._scope(key) + (canonical,), entry_id
-            )
-            document_frequency.update(set(tf))
-        n_docs = len(self._entries)
-        self._idf = {
-            token: math.log((1 + n_docs) / (1 + df)) + 1.0
-            for token, df in document_frequency.items()
-        }
-        self._default_idf = math.log(1 + n_docs) + 1.0
-        for entry_id, (key, response, canonical, tf, _) in enumerate(self._entries):
-            norm = math.sqrt(
-                sum((count * self._idf[token]) ** 2 for token, count in tf.items())
-            )
-            self._entries[entry_id] = (key, response, canonical, tf, norm)
-            for token in tf:
-                self._token_index.setdefault(token, []).append(entry_id)
+        """(Re)seal the snapshot to ``items``; indexing waits for a lookup."""
+        snapshot = list(items)
+        with self._lock:
+            self._snapshot = snapshot
+            self._indexed = False
+
+    def _index(self) -> None:
+        """Canonicalise the snapshot and fit TF-IDF (once per seal)."""
+        with self._lock:
+            if self._indexed:
+                return
+            vectors: list[tuple[str, Counter, float]] = []
+            by_canonical: dict[tuple[str, str, int, str], int] = {}
+            document_frequency: Counter = Counter()
+            for entry_id, (key, _) in enumerate(self._snapshot):
+                canonical = normalize_text(key.prompt)
+                tf = Counter(canonical.split())
+                vectors.append((canonical, tf, 0.0))
+                by_canonical.setdefault(self._scope(key) + (canonical,), entry_id)
+                document_frequency.update(set(tf))
+            n_docs = len(vectors)
+            idf = {
+                token: math.log((1 + n_docs) / (1 + df)) + 1.0
+                for token, df in document_frequency.items()
+            }
+            token_index: dict[str, list[int]] = {}
+            for entry_id, (canonical, tf, _) in enumerate(vectors):
+                norm = math.sqrt(
+                    sum((count * idf[token]) ** 2 for token, count in tf.items())
+                )
+                vectors[entry_id] = (canonical, tf, norm)
+                for token in tf:
+                    token_index.setdefault(token, []).append(entry_id)
+            self._vectors = vectors
+            self._by_canonical = by_canonical
+            self._token_index = token_index
+            self._idf = idf
+            self._default_idf = math.log(1 + n_docs) + 1.0
+            self._indexed = True
 
     def lookup(self, key: CacheKey) -> tuple[LLMResponse, float] | None:
         """Best sealed donor for ``key`` above the threshold, if any.
@@ -345,12 +366,14 @@ class NearDuplicateIndex:
         Deterministic: ties break on insertion order.  Returns the donor
         response and its similarity score.
         """
-        if not self._entries:
+        if not self._snapshot:
             return None
+        if not self._indexed:
+            self._index()
         canonical = normalize_text(key.prompt)
         exact_id = self._by_canonical.get(self._scope(key) + (canonical,))
         if exact_id is not None:
-            return self._entries[exact_id][1], 1.0
+            return self._snapshot[exact_id][1], 1.0
         tf = Counter(canonical.split())
         if not tf:
             return None
@@ -372,10 +395,8 @@ class NearDuplicateIndex:
         best_id = -1
         best_score = 0.0
         for entry_id in sorted(candidate_ids):
-            donor_key, _, donor_canonical, donor_tf, donor_norm = self._entries[
-                entry_id
-            ]
-            if self._scope(donor_key) != scope:
+            donor_canonical, donor_tf, donor_norm = self._vectors[entry_id]
+            if self._scope(self._snapshot[entry_id][0]) != scope:
                 continue
             if (
                 abs(len(donor_canonical) - len(canonical)) <= edit_budget
@@ -384,7 +405,7 @@ class NearDuplicateIndex:
                 )
                 <= edit_budget
             ):
-                return self._entries[entry_id][1], 1.0
+                return self._snapshot[entry_id][1], 1.0
             if donor_norm == 0.0:
                 continue
             dot = sum(
@@ -395,7 +416,7 @@ class NearDuplicateIndex:
             if score > best_score:
                 best_id, best_score = entry_id, score
         if best_id >= 0 and best_score >= self.threshold:
-            return self._entries[best_id][1], min(1.0, best_score)
+            return self._snapshot[best_id][1], min(1.0, best_score)
         return None
 
 
@@ -547,7 +568,9 @@ class PromptCache:
 
         Called automatically after a journal load; callers that populate
         the cache programmatically invoke it to enable near lookups over
-        what they inserted.  Returns the number of sealed entries.
+        what they inserted.  Only the ``(key, response)`` snapshot is taken
+        here; the first near lookup indexes it.  Returns the number of
+        sealed entries.
         """
         with self._lock:
             self._near.build(self._entries.items())

@@ -26,6 +26,8 @@ never silently dropped.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Callable
@@ -43,7 +45,9 @@ class SpillStore:
     Parameters
     ----------
     directory:
-        Where spill files live; created on first write.
+        Where spill files live; created on first write.  ``None`` means a
+        private temporary directory, made on first write and removed by
+        :meth:`close`.
     budget_bytes:
         Soft cap consulted by :meth:`has_room`; ``None`` means unbounded.
         ``put`` itself never refuses — the budget throttles *materialization*
@@ -60,7 +64,7 @@ class SpillStore:
 
     def __init__(
         self,
-        directory: str | Path,
+        directory: str | Path | None,
         budget_bytes: int | None = None,
         encode: Callable[[Any], Any] | None = None,
         decode: Callable[[Any], Any] | None = None,
@@ -68,7 +72,8 @@ class SpillStore:
     ):
         if budget_bytes is not None and budget_bytes < 1:
             raise ValueError("budget_bytes must be positive (or None)")
-        self.directory = Path(directory)
+        self.directory = Path(directory) if directory is not None else None
+        self._private = directory is None
         self.budget_bytes = budget_bytes
         self._encode = encode or (lambda value: value)
         self._decode = decode or (lambda value: value)
@@ -110,6 +115,9 @@ class SpillStore:
         )
         data = payload.encode("utf-8")
         try:
+            with self._lock:
+                if self.directory is None:
+                    self.directory = Path(tempfile.mkdtemp(prefix="repro-spill-"))
             self.directory.mkdir(parents=True, exist_ok=True)
             self._path(key).write_bytes(data)
         except OSError as error:
@@ -139,7 +147,8 @@ class SpillStore:
         with self._lock:
             freed = self._sizes.pop(key, 0)
             self.spilled_bytes -= freed
-        self._path(key).unlink(missing_ok=True)
+        if self.directory is not None:
+            self._path(key).unlink(missing_ok=True)
         if self.metrics is not None:
             self.metrics.gauge("spill.bytes").set(self.spilled_bytes)
         return freed
@@ -150,6 +159,14 @@ class SpillStore:
             keys = list(self._sizes)
         for key in keys:
             self.remove(key)
+
+    def close(self) -> None:
+        """Remove the private temporary directory, if one was made.
+
+        A directory the caller named is left as it is.
+        """
+        if self._private and self.directory is not None:
+            shutil.rmtree(self.directory, ignore_errors=True)
 
     def __len__(self) -> int:
         with self._lock:
