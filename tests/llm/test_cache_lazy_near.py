@@ -78,8 +78,8 @@ def warm_journal(tmp_path):
 THRESHOLD = 0.7
 
 
-def eager(threshold: float = THRESHOLD) -> NearDuplicateIndex:
-    index = NearDuplicateIndex(threshold)
+def eager() -> NearDuplicateIndex:
+    index = NearDuplicateIndex(THRESHOLD)
     index.build(items())
     index._index()
     return index

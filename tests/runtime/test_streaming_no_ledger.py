@@ -151,7 +151,6 @@ class TestEngineInvariance:
         durable = run_er(
             ledger_path=tmp_path / "run.wal", cache_path=caches[1], workers=workers
         )
-        assert memory.canonical_json() == durable.canonical_json()
         assert_reports_identical(memory, durable)
         if phase == "warm":
             assert memory.cost.served_calls == 0
